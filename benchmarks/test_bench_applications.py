@@ -13,13 +13,9 @@ from repro.analysis.sccp import run_sccp
 from repro.core.propagation import analyse_function
 from repro.ir import prepare_for_analysis, prepare_module
 from repro.lang import compile_source
-from repro.opt import (
-    analyse_bounds_checks,
-    chain_layout,
-    constants_from_prediction,
-    eliminated_fraction,
-    fallthrough_fraction,
-)
+from repro.opt.boundscheck import analyse_bounds_checks, eliminated_fraction
+from repro.opt.constfold import constants_from_prediction
+from repro.opt.layout import chain_layout, fallthrough_fraction
 from repro.workloads import all_workloads
 
 

@@ -14,12 +14,8 @@ aggregate improvement, which is the part prediction quality controls.
 
 from benchmarks.conftest import emit
 from repro.core import VRPPredictor
-from repro.opt import (
-    chain_layout,
-    dynamic_trace_coverage,
-    fallthrough_fraction,
-    form_traces,
-)
+from repro.opt.layout import chain_layout, fallthrough_fraction
+from repro.opt.superblock import dynamic_trace_coverage, form_traces
 from repro.profiling import run_module
 
 

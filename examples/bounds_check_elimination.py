@@ -11,7 +11,11 @@ Run:  python examples/bounds_check_elimination.py
 from repro.core.propagation import analyse_function
 from repro.ir import prepare_for_analysis
 from repro.lang import compile_source
-from repro.opt import analyse_bounds_checks, dynamic_checks_eliminated, eliminated_fraction
+from repro.opt.boundscheck import (
+    analyse_bounds_checks,
+    dynamic_checks_eliminated,
+    eliminated_fraction,
+)
 from repro.profiling import run_module
 
 PROGRAM = """

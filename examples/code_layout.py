@@ -11,7 +11,7 @@ Run:  python examples/code_layout.py
 from repro.core.propagation import analyse_function
 from repro.ir import prepare_for_analysis
 from repro.lang import compile_source
-from repro.opt import chain_layout, fallthrough_fraction
+from repro.opt.layout import chain_layout, fallthrough_fraction
 from repro.profiling import run_module
 
 PROGRAM = """

@@ -17,15 +17,10 @@ from repro.core import VRPPredictor, clone_for_contexts
 from repro.ir import prepare_module
 from repro.ir.ssa import SSAInfo
 from repro.lang import compile_source
-from repro.opt import (
-    analyse_bounds_checks,
-    constants_from_prediction,
-    dead_edges,
-    eliminated_fraction,
-    independent_pairs,
-    collect_accesses,
-    unreachable_blocks,
-)
+from repro.opt.array_alias import collect_accesses, independent_pairs
+from repro.opt.boundscheck import analyse_bounds_checks, eliminated_fraction
+from repro.opt.constfold import constants_from_prediction
+from repro.opt.unreachable import dead_edges, unreachable_blocks
 
 PROGRAM = """
 func clamp(v, limit) {

@@ -16,7 +16,9 @@ Run:  python examples/speculation_and_inlining.py
 from repro.core import VRPPredictor
 from repro.ir import prepare_module, verify_function
 from repro.lang import compile_source
-from repro.opt import hoisting_candidates, inline_hot_calls, function_order
+from repro.opt.function_order import function_order
+from repro.opt.inlining import inline_hot_calls
+from repro.opt.speculation import hoisting_candidates
 from repro.profiling import run_module
 
 PROGRAM = """

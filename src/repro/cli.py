@@ -56,7 +56,6 @@ from typing import List, Optional
 from repro.core import VRPConfig, VRPPredictor
 from repro.ir import format_module, prepare_module
 from repro.lang import compile_source
-from repro.profiling import run_module
 
 
 def _read_source(path: str) -> str:
@@ -528,6 +527,7 @@ def cmd_ranges(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro import rendering
+    from repro.profiling import run_module
 
     module, _ = _prepare(args)
     result = run_module(

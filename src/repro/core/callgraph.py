@@ -8,8 +8,9 @@ SCC condensation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
+from repro.ir.cfg import strongly_connected_components
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Call
 
@@ -65,53 +66,10 @@ class CallGraph:
     def sccs(self) -> List[List[str]]:
         """Strongly connected components in reverse topological order
         (callees before callers)."""
-        index_counter = [0]
-        indices: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        components: List[List[str]] = []
-
-        def strongconnect(node: str) -> None:
-            work: List[Tuple[str, int]] = [(node, 0)]
-            while work:
-                current, child_index = work.pop()
-                if child_index == 0:
-                    indices[current] = index_counter[0]
-                    lowlink[current] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(current)
-                    on_stack.add(current)
-                children = sorted(self.callees[current])
-                recursed = False
-                for position in range(child_index, len(children)):
-                    child = children[position]
-                    if child not in indices:
-                        work.append((current, position + 1))
-                        work.append((child, 0))
-                        recursed = True
-                        break
-                    if child in on_stack:
-                        lowlink[current] = min(lowlink[current], indices[child])
-                if recursed:
-                    continue
-                if lowlink[current] == indices[current]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == current:
-                            break
-                    components.append(sorted(component))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[current])
-
-        for name in sorted(self.module.functions):
-            if name not in indices:
-                strongconnect(name)
-        return components
+        components = strongly_connected_components(
+            sorted(self.module.functions), lambda name: sorted(self.callees[name])
+        )
+        return [sorted(component) for component in components]
 
     def bottom_up_order(self) -> List[str]:
         """Function names, callees before callers."""

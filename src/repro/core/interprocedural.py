@@ -215,7 +215,6 @@ class InterproceduralVRP:
             return self._run()
 
     def _run(self) -> ModulePrediction:
-        from repro.observability import events as trace_events
         from repro.observability import tracer as tracing
 
         tracer = tracing.active()
@@ -245,13 +244,16 @@ class InterproceduralVRP:
             # the recursive components were frozen as-is, not converged.
             self.round_cap_hit = True
             total.interprocedural_round_caps += 1
-            tracer.emit(
-                trace_events.RoundCap(
-                    module=self.module.name,
-                    rounds=rounds_used,
-                    functions=tuple(self._recursive_functions()),
+            if tracer.enabled:
+                from repro.observability.events import RoundCap
+
+                tracer.emit(
+                    RoundCap(
+                        module=self.module.name,
+                        rounds=rounds_used,
+                        functions=tuple(self._recursive_functions()),
+                    )
                 )
-            )
         for prediction in self.predictions.values():
             total.merge(prediction.counters)
         total.merge(self._context_counters)

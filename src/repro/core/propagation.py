@@ -66,7 +66,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.ssa import SSAEdges, SSAInfo, build_ssa_edges
 from repro.ir.values import Constant, Temp, Undef, Value
-from repro.observability import events as trace_events
 from repro.observability import tracer as tracing
 
 Edge = Tuple[str, str]
@@ -158,6 +157,11 @@ class PropagationEngine:
         # single `is not None` test.
         tracer = tracing.active()
         self._trace = tracer if tracer.enabled else None
+        if self._trace is not None:
+            # The event taxonomy loads only for traced runs.
+            from repro.observability import events
+
+            self._events = events
         # Lattice sanitizer (config.sanitize): same zero-overhead shape
         # as tracing -- None unless enabled, one `is not None` per site.
         if self.config.sanitize:
@@ -281,7 +285,7 @@ class PropagationEngine:
                     self._sanitize.note_item(("flow", edge))
                 if self._trace is not None:
                     self._trace.emit(
-                        trace_events.WorklistPop(
+                        self._events.WorklistPop(
                             self.function.name, "flow", f"{edge[0]}->{edge[1]}"
                         )
                     )
@@ -293,7 +297,7 @@ class PropagationEngine:
                     self._sanitize.note_item(("ssa", id(instr)))
                 if self._trace is not None:
                     self._trace.emit(
-                        trace_events.WorklistPop(
+                        self._events.WorklistPop(
                             self.function.name, "ssa", _describe_ssa_item(instr)
                         )
                     )
@@ -306,7 +310,7 @@ class PropagationEngine:
             self.flow_list.append(edge)
             if self._trace is not None:
                 self._trace.emit(
-                    trace_events.WorklistPush(
+                    self._events.WorklistPush(
                         self.function.name, "flow", f"{edge[0]}->{edge[1]}"
                     )
                 )
@@ -321,7 +325,7 @@ class PropagationEngine:
                 self.ssa_list.append(use)
                 if self._trace is not None:
                     self._trace.emit(
-                        trace_events.WorklistPush(
+                        self._events.WorklistPush(
                             self.function.name, "ssa", _describe_ssa_item(use)
                         )
                     )
@@ -413,7 +417,7 @@ class PropagationEngine:
             self._sanitize.check_transition(name, old_value, new_value)
         if self._trace is not None:
             self._trace.emit(
-                trace_events.LatticeTransition(
+                self._events.LatticeTransition(
                     self.function.name, name, str(old_value), str(new_value)
                 )
             )
@@ -590,7 +594,7 @@ class PropagationEngine:
             self._sanitize.check_pi(instr, src, refined)
         if self._trace is not None:
             self._trace.emit(
-                trace_events.PiRefinement(
+                self._events.PiRefinement(
                     self.function.name,
                     instr.dest.name,
                     instr.src.name if isinstance(instr.src, Temp) else str(instr.src),
@@ -682,7 +686,7 @@ class PropagationEngine:
                 self.ssa_list.append(load)
                 if self._trace is not None:
                     self._trace.emit(
-                        trace_events.WorklistPush(
+                        self._events.WorklistPush(
                             self.function.name, "ssa", _describe_ssa_item(load)
                         )
                     )
@@ -717,7 +721,7 @@ class PropagationEngine:
                 with self._trace.span("derive"):
                     outcome = self._derive(phi, back_preds)
                 self._trace.emit(
-                    trace_events.DerivationAttempt(
+                    self._events.DerivationAttempt(
                         self.function.name,
                         name,
                         outcome.status,
@@ -764,7 +768,7 @@ class PropagationEngine:
                 # to guarantee termination.
                 if self._trace is not None:
                     self._trace.emit(
-                        trace_events.PhiMerge(
+                        self._events.PhiMerge(
                             self.function.name,
                             name,
                             label,
@@ -787,7 +791,7 @@ class PropagationEngine:
                 merged = _widen(old, merged)
         if self._trace is not None:
             self._trace.emit(
-                trace_events.PhiMerge(
+                self._events.PhiMerge(
                     self.function.name,
                     name,
                     label,
@@ -889,7 +893,7 @@ class PropagationEngine:
                     for operand in (definition.lhs, definition.rhs)
                 )
         self._trace.emit(
-            trace_events.BranchResolution(
+            self._events.BranchResolution(
                 self.function.name,
                 label,
                 "heuristic" if label in self.used_heuristic else "ranges",

@@ -19,7 +19,6 @@ from repro.diagnostics.findings import Finding, severity_rank
 from repro.diagnostics.rules import all_findings, module_findings
 from repro.ir import prepare_module
 from repro.ir.function import Module
-from repro.observability import events as obs_events
 from repro.observability import tracer as tracing
 
 
@@ -70,9 +69,11 @@ def check_module(
     _attach_call_provenance(findings, prediction)
     findings.sort(key=Finding.sort_key)
     if trace is not None:
+        from repro.observability.events import DiagnosticFinding
+
         for finding in findings:
             trace.emit(
-                obs_events.DiagnosticFinding(
+                DiagnosticFinding(
                     function=finding.function,
                     rule=finding.rule,
                     severity=finding.severity,

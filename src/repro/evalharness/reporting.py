@@ -8,6 +8,7 @@ coarse sparkline, so orderings and crossovers are visible at a glance.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 from repro.evalharness.accuracy import DEFAULT_THRESHOLDS, area_under_cdf
@@ -62,6 +63,21 @@ def ranking(series: Dict[str, Sequence[float]]) -> List[Tuple[str, float]]:
     return sorted(scored, key=lambda pair: -pair[1])
 
 
+def fit_line(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
+    """``(slope, intercept)`` of the ordinary least squares line.
+
+    Closed form over centred sums.  When every x is the same the slope is
+    undefined; the fit is then the horizontal line through the mean.
+    """
+    count = len(points)
+    mean_x = sum(x for x, _ in points) / count
+    mean_y = sum(y for _, y in points) / count
+    sxx = sum((x - mean_x) ** 2 for x, _ in points)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
+    slope = sxy / sxx if sxx else 0.0
+    return slope, mean_y - slope * mean_x
+
+
 def format_scatter(
     points: Sequence[Tuple[int, int]],
     x_label: str,
@@ -73,8 +89,6 @@ def format_scatter(
     Used for the Figure 5/6 linearity plots: the fit's relative residual
     tells you at a glance how linear the relationship is.
     """
-    import numpy as np
-
     lines: List[str] = []
     if title:
         lines.append(title)
@@ -82,12 +96,10 @@ def format_scatter(
     for x, y in points:
         lines.append(f"{x:>12d}  {y:>14d}")
     if len(points) >= 2:
-        xs = np.array([p[0] for p in points], dtype=float)
-        ys = np.array([p[1] for p in points], dtype=float)
-        slope, intercept = np.polyfit(xs, ys, 1)
-        predicted = slope * xs + intercept
-        residual = float(np.sqrt(np.mean((ys - predicted) ** 2)))
-        scale = float(np.mean(ys)) or 1.0
+        slope, intercept = fit_line(points)
+        squared = sum((y - (slope * x + intercept)) ** 2 for x, y in points)
+        residual = math.sqrt(squared / len(points))
+        scale = sum(y for _, y in points) / len(points) or 1.0
         lines.append(
             f"linear fit: y = {slope:.3f}x + {intercept:.1f}  "
             f"(rms residual {100.0 * residual / scale:.1f}% of mean)"

@@ -4,11 +4,13 @@ The CFG is implied by block terminators; this module materialises
 predecessor maps, traversal orders, back-edge identification (via DFS
 from the entry, as the paper prescribes for loop-carried detection) and
 critical-edge splitting (needed so each assertion edge has its own block).
+:func:`strongly_connected_components` is the one Tarjan implementation,
+used for block regions (frequency solver) and the call graph alike.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Branch, Jump, Phi
@@ -115,6 +117,57 @@ class CFG:
     def is_critical(self, src: str, dst: str) -> bool:
         """An edge is critical when src has >1 successors and dst >1 preds."""
         return len(self.successors[src]) > 1 and len(self.predecessors[dst]) > 1
+
+
+def strongly_connected_components(
+    roots: Iterable[str], successors: Callable[[str], Sequence[str]]
+) -> List[List[str]]:
+    """Tarjan's strongly connected components of the graph reached from ``roots``.
+
+    Iterative, so deep graphs stay off the call stack.  Components come
+    in reverse topological order -- each after every component it
+    reaches -- and ``roots`` and each ``successors(node)`` are visited in
+    the order given, so the result is deterministic.
+    """
+    number: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    open_nodes: List[str] = []
+    on_stack: Set[str] = set()
+    components: List[List[str]] = []
+    for root in roots:
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        open_nodes.append(root)
+        on_stack.add(root)
+        work: List[Tuple[str, Sequence[str], int]] = [(root, successors(root), 0)]
+        while work:
+            node, succs, child_index = work[-1]
+            if child_index < len(succs):
+                work[-1] = (node, succs, child_index + 1)
+                child = succs[child_index]
+                if child not in number:
+                    number[child] = low[child] = len(number)
+                    open_nodes.append(child)
+                    on_stack.add(child)
+                    work.append((child, successors(child), 0))
+                elif child in on_stack:
+                    low[node] = min(low[node], number[child])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == number[node]:
+                component = []
+                while True:
+                    member = open_nodes.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(component)
+    return components
 
 
 def split_critical_edges(function: Function) -> int:

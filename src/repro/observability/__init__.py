@@ -19,29 +19,15 @@
 * :mod:`repro.observability.instrument` -- traced compile/analyse
   pipelines (phase spans for lex/parse/lower/ssa/propagate/predict).
 
-``explain``, ``instrument``, and ``profiler`` depend on the analysis
-layers, while the engine itself imports the tracer from here -- they
-are loaded lazily (PEP 562) to keep ``repro.core`` ->
-``repro.observability`` acyclic.
+Only ``context`` and ``tracer`` load with the package: the engine imports
+the tracer from here and, with tracing off, needs nothing else.  Every
+other name loads on first use (PEP 562).  ``explain``, ``instrument``,
+and ``profiler`` depend on the analysis layers, so this keeps
+``repro.core`` -> ``repro.observability`` acyclic; ``events`` and
+``metrics`` load only once a tracer or a metrics report is built, so an
+untraced ``repro predict`` never pays for them.
 """
 
-from repro.observability.events import (
-    EVENT_KINDS,
-    BranchResolution,
-    DerivationAttempt,
-    DiagnosticFinding,
-    HeuristicChain,
-    LatticeTransition,
-    PassBegin,
-    PassEnd,
-    PhiMerge,
-    PiRefinement,
-    ServerRequestBegin,
-    ServerRequestEnd,
-    TraceEvent,
-    WorklistPop,
-    WorklistPush,
-)
 from repro.observability.context import (
     TRACE_HEADER,
     TraceContext,
@@ -49,13 +35,6 @@ from repro.observability.context import (
     mint,
     new_span_id,
     new_trace_id,
-)
-from repro.observability.metrics import (
-    SCHEMA_KEYS,
-    SCHEMA_VERSION,
-    MetricsReport,
-    build_metrics_report,
-    validate_report_dict,
 )
 from repro.observability.tracer import (
     NULL_TRACER,
@@ -67,7 +46,29 @@ from repro.observability.tracer import (
     use,
 )
 
+_EVENTS = "repro.observability.events"
+_METRICS = "repro.observability.metrics"
 _LAZY = {
+    "EVENT_KINDS": _EVENTS,
+    "BranchResolution": _EVENTS,
+    "DerivationAttempt": _EVENTS,
+    "DiagnosticFinding": _EVENTS,
+    "HeuristicChain": _EVENTS,
+    "LatticeTransition": _EVENTS,
+    "PassBegin": _EVENTS,
+    "PassEnd": _EVENTS,
+    "PhiMerge": _EVENTS,
+    "PiRefinement": _EVENTS,
+    "ServerRequestBegin": _EVENTS,
+    "ServerRequestEnd": _EVENTS,
+    "TraceEvent": _EVENTS,
+    "WorklistPop": _EVENTS,
+    "WorklistPush": _EVENTS,
+    "SCHEMA_KEYS": _METRICS,
+    "SCHEMA_VERSION": _METRICS,
+    "MetricsReport": _METRICS,
+    "build_metrics_report": _METRICS,
+    "validate_report_dict": _METRICS,
     "BranchExplanation": "repro.observability.explain",
     "explain_branch": "repro.observability.explain",
     "explain_module": "repro.observability.explain",

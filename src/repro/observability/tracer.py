@@ -25,10 +25,12 @@ import contextvars
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Type
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.observability import context as tracecontext
-from repro.observability.events import TraceEvent
+
+if TYPE_CHECKING:  # the event classes load only where events are built
+    from repro.observability.events import TraceEvent
 
 
 class SpanRecord:

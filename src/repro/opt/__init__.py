@@ -10,103 +10,12 @@
 * :mod:`repro.opt.superblock` -- trace (superblock) selection;
 * :mod:`repro.opt.inlining` -- prediction-driven function inlining;
 * :mod:`repro.opt.function_order` -- frequency-ordered function processing.
+
+The package re-exports nothing: import each client from its submodule
+(``from repro.opt.layout import chain_layout``), so that a caller which
+needs one client -- ``repro check`` needs only bounds checks -- loads
+only that one.
 """
 
-from repro.opt.array_alias import (
-    ArrayAccess,
-    DependencePair,
-    collect_accesses,
-    disambiguated_fraction,
-    independent_pairs,
-    may_alias,
-    provably_disjoint,
-)
-from repro.opt._verify import verify_after
-from repro.opt.boundscheck import (
-    SAFE,
-    UNKNOWN,
-    UNSAFE,
-    AccessClassification,
-    AccessReport,
-    analyse_bounds_checks,
-    classify_access,
-    classify_index,
-    dynamic_checks_eliminated,
-    eliminated_fraction,
-)
-from repro.opt.constfold import (
-    constants_from_prediction,
-    copies_from_prediction,
-    fold_constants,
-    fold_copies,
-)
-from repro.opt.dce import eliminate_dead_code, fold_certain_branches
-from repro.opt.function_order import allocation_priority, function_order
-from repro.opt.inlining import (
-    InlineDecision,
-    InlineError,
-    inline_call,
-    inline_hot_calls,
-)
-from repro.opt.layout import chain_layout, fallthrough_fraction, layout_quality
-from repro.opt.speculation import (
-    HoistCandidate,
-    execution_probability,
-    hoisting_candidates,
-    path_probability,
-    useless_speculation,
-)
-from repro.opt.superblock import (
-    Trace,
-    dynamic_trace_coverage,
-    form_traces,
-    trace_statistics,
-)
-from repro.opt.unreachable import dead_edges, unreachable_blocks
+__all__: list = []
 
-__all__ = [
-    "AccessClassification",
-    "AccessReport",
-    "ArrayAccess",
-    "DependencePair",
-    "HoistCandidate",
-    "InlineDecision",
-    "InlineError",
-    "Trace",
-    "dynamic_trace_coverage",
-    "eliminate_dead_code",
-    "fold_certain_branches",
-    "form_traces",
-    "trace_statistics",
-    "allocation_priority",
-    "execution_probability",
-    "function_order",
-    "hoisting_candidates",
-    "inline_call",
-    "inline_hot_calls",
-    "path_probability",
-    "useless_speculation",
-    "SAFE",
-    "UNKNOWN",
-    "UNSAFE",
-    "analyse_bounds_checks",
-    "chain_layout",
-    "classify_access",
-    "classify_index",
-    "collect_accesses",
-    "constants_from_prediction",
-    "copies_from_prediction",
-    "dead_edges",
-    "disambiguated_fraction",
-    "dynamic_checks_eliminated",
-    "eliminated_fraction",
-    "fallthrough_fraction",
-    "fold_constants",
-    "fold_copies",
-    "independent_pairs",
-    "layout_quality",
-    "may_alias",
-    "provably_disjoint",
-    "unreachable_blocks",
-    "verify_after",
-]

@@ -148,16 +148,18 @@ class _Handler(BaseHTTPRequestHandler):
         body: Optional[bytes] = None,
         content_type: str = "application/json",
     ) -> None:
+        elapsed_ms = (time.perf_counter() - started) * 1000
+        ctx = self.ctx
+        trace_id = getattr(self, "_trace_id", None)
+        # Counted before the reply leaves, so a client that reads the
+        # stats right after its reply always sees its own request.
+        ctx.stats.record_request(
+            endpoint, status, elapsed_ms, cached=cached, degraded=degraded
+        )
         if body is not None:
             self._send_body(status, body, content_type)
         else:
             self._send_json(status, document)
-        elapsed_ms = (time.perf_counter() - started) * 1000
-        ctx = self.ctx
-        trace_id = getattr(self, "_trace_id", None)
-        ctx.stats.record_request(
-            endpoint, status, elapsed_ms, cached=cached, degraded=degraded
-        )
         ctx.emit_event(
             ServerRequestEnd(
                 endpoint=endpoint,

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.evalharness.reporting import format_cdf_table, format_scatter, ranking
+from repro.evalharness.reporting import (
+    fit_line,
+    format_cdf_table,
+    format_scatter,
+    ranking,
+)
 
 
 class TestCdfTable:
@@ -58,3 +63,56 @@ class TestScatter:
     def test_single_point_no_fit(self):
         text = format_scatter([(5, 10)], "x", "y")
         assert "linear fit" not in text
+
+    # The Figure 5/6 inputs (work counts over the size-scaled synthetic
+    # family) with the fit lines the numpy ``polyfit`` version printed for
+    # them, as committed in benchmarks/results/fig{5,6}_*.txt.
+    FIGURE_FITS = [
+        (
+            [(98, 1838), (194, 3738), (386, 7429), (770, 14567), (1538, 27288),
+             (3074, 31808)],
+            "linear fit: y = 10.365x + 3975.9  (rms residual 27.2% of mean)",
+        ),
+        (
+            [(98, 1210), (194, 2546), (386, 5178), (770, 10358), (1538, 20261),
+             (3074, 24123)],
+            "linear fit: y = 7.957x + 2576.0  (rms residual 26.7% of mean)",
+        ),
+    ]
+
+    @pytest.mark.parametrize("points,fit", FIGURE_FITS, ids=["fig5", "fig6"])
+    def test_figure_fit_lines_unchanged(self, points, fit):
+        text = format_scatter(points, "instructions", "evaluations")
+        assert text.splitlines()[-1] == fit
+
+    def test_scaling_family_renders_like_polyfit(self):
+        np = pytest.importorskip("numpy")
+        from repro.evalharness import measure_scaling
+
+        points = [(i, e) for i, e, _ in measure_scaling([2, 4, 8])]
+        xs = np.array([x for x, _ in points], dtype=float)
+        ys = np.array([y for _, y in points], dtype=float)
+        slope, intercept = np.polyfit(xs, ys, 1)
+        residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+        want = (
+            f"linear fit: y = {slope:.3f}x + {intercept:.1f}  "
+            f"(rms residual {100.0 * residual / float(np.mean(ys)):.1f}% of mean)"
+        )
+        assert format_scatter(points, "x", "y").splitlines()[-1] == want
+
+    def test_fit_line_matches_polyfit(self):
+        np = pytest.importorskip("numpy")
+        import random
+
+        rng = random.Random(5)
+        for _ in range(200):
+            xs = sorted(rng.sample(range(1, 5000), rng.randint(2, 12)))
+            points = [(x, rng.randint(0, 40000)) for x in xs]
+            want = np.polyfit(
+                np.array(xs, dtype=float), np.array([y for _, y in points], dtype=float), 1
+            )
+            assert fit_line(points) == pytest.approx(tuple(want), rel=1e-9, abs=1e-6)
+
+    def test_constant_x_fits_the_mean(self):
+        text = format_scatter([(4, 10), (4, 20)], "x", "y")
+        assert text.splitlines()[-1].startswith("linear fit: y = 0.000x + 15.0")

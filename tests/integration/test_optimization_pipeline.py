@@ -12,12 +12,8 @@ import pytest
 from repro.core import VRPPredictor
 from repro.ir import prepare_module, verify_function
 from repro.lang import compile_source
-from repro.opt import (
-    eliminate_dead_code,
-    fold_certain_branches,
-    fold_constants,
-    fold_copies,
-)
+from repro.opt.constfold import fold_constants, fold_copies
+from repro.opt.dce import eliminate_dead_code, fold_certain_branches
 from repro.profiling import run_module
 from repro.workloads import get_workload
 

@@ -124,7 +124,7 @@ class TestIntrinsics:
         """
         from repro.core.propagation import analyse_function
         from repro.ir.ssa import SSAInfo
-        from repro.opt import analyse_bounds_checks, SAFE
+        from repro.opt.boundscheck import SAFE, analyse_bounds_checks
 
         module, infos = compile_and_prepare(source)
         function = module.function("main")

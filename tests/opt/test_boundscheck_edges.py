@@ -13,8 +13,14 @@ import pytest
 from repro.core.bounds import Bound, NEG_INF, POS_INF
 from repro.core.ranges import RangeError, StridedRange
 from repro.core.rangeset import RangeSet
-from repro.opt import AccessClassification, classify_access
-from repro.opt.boundscheck import SAFE, UNKNOWN, UNSAFE, classify_index
+from repro.opt.boundscheck import (
+    SAFE,
+    UNKNOWN,
+    UNSAFE,
+    AccessClassification,
+    classify_access,
+    classify_index,
+)
 
 
 def _set(*ranges) -> RangeSet:

@@ -6,14 +6,9 @@ from repro.core.propagation import analyse_function
 from repro.ir import verify_function
 from repro.ir.function import Module
 from repro.ir.instructions import Branch, Jump
-from repro.opt import (
-    dynamic_trace_coverage,
-    eliminate_dead_code,
-    fold_certain_branches,
-    form_traces,
-    fold_constants,
-    trace_statistics,
-)
+from repro.opt.constfold import fold_constants
+from repro.opt.dce import eliminate_dead_code, fold_certain_branches
+from repro.opt.superblock import dynamic_trace_coverage, form_traces, trace_statistics
 from repro.profiling import run_module
 
 from tests.helpers import analyse, prepare_single

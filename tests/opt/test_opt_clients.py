@@ -3,29 +3,30 @@
 import pytest
 
 from repro.core.rangeset import RangeSet
-from repro.opt import (
+from repro.opt.array_alias import (
+    collect_accesses,
+    disambiguated_fraction,
+    independent_pairs,
+    may_alias,
+    provably_disjoint,
+)
+from repro.opt.boundscheck import (
     SAFE,
     UNKNOWN,
     UNSAFE,
     analyse_bounds_checks,
-    chain_layout,
     classify_index,
-    collect_accesses,
-    constants_from_prediction,
-    copies_from_prediction,
-    dead_edges,
-    disambiguated_fraction,
     dynamic_checks_eliminated,
     eliminated_fraction,
-    fallthrough_fraction,
+)
+from repro.opt.constfold import (
+    constants_from_prediction,
+    copies_from_prediction,
     fold_constants,
     fold_copies,
-    independent_pairs,
-    layout_quality,
-    may_alias,
-    provably_disjoint,
-    unreachable_blocks,
 )
+from repro.opt.layout import chain_layout, fallthrough_fraction, layout_quality
+from repro.opt.unreachable import dead_edges, unreachable_blocks
 
 from tests.helpers import analyse
 

@@ -2,10 +2,11 @@
 
 ``repro.passes`` is imported from low-level modules (``ir/ssa.py``,
 ``ir/verifier.py``, ``heuristics/base.py``), so its package import must
-stay cheap and side-effect free; and both it and ``repro.opt`` promise
-a curated ``__all__``.  These tests pin the contract: every public
-symbol is exported exactly once, every export resolves, and importing
-the packages pulls in nothing eagerly and prints nothing.
+stay cheap and side-effect free; ``repro.opt`` re-exports nothing, so a
+caller that needs one client loads only that one.  Both promise a
+curated ``__all__``.  These tests pin the contract: every public symbol
+is exported exactly once, every export resolves, and importing the
+packages pulls in nothing eagerly and prints nothing.
 """
 
 from __future__ import annotations
@@ -82,6 +83,16 @@ def test_passes_package_import_is_lazy():
         "import repro.passes\n"
         "eager = [m for m in ('repro.passes.library', 'repro.passes.pipeline')\n"
         "         if m in sys.modules]\n"
+        "assert not eager, eager\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_opt_package_import_loads_no_client():
+    code = (
+        "import sys\n"
+        "import repro.opt\n"
+        "eager = [m for m in sys.modules if m.startswith('repro.opt.')]\n"
         "assert not eager, eager\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)

@@ -8,12 +8,8 @@ from repro.core import VRPPredictor
 from repro.ir import prepare_module
 from repro.ir.printer import format_module
 from repro.lang import compile_source
-from repro.opt import (
-    eliminate_dead_code,
-    fold_certain_branches,
-    fold_constants,
-    fold_copies,
-)
+from repro.opt.constfold import fold_constants, fold_copies
+from repro.opt.dce import eliminate_dead_code, fold_certain_branches
 from repro.passes import AnalysisCache, PassPipeline, run_pipeline
 from repro.workloads import get_workload
 
